@@ -2,7 +2,8 @@
 
 Mirrors the conftest fixture so a job run standalone behaves like a test:
 broadcast joins disabled (shuffle paths exercised), Arrow on, modest
-shuffle parallelism for the iterative graph rounds.
+shuffle parallelism for the iterative graph rounds, and no console
+progress bar, so a job's output is its table.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ def get_spark():
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -23,7 +23,7 @@ from pyspark.sql import functions as F
 
 from repro.graphs.components import connected_components
 from repro.graphs.edges import canonicalize, contract, init_vertices, with_weights
-from repro.graphs.io import materialize
+from repro.graphs.io import checkpoint_scope, materialize
 
 
 def threshold_schedule(w_upper: float, t: float, rounds: int) -> list[float]:
@@ -155,9 +155,10 @@ def scc_spark(
     if shuffle_partitions is not None:
         spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
-        return _scc_spark_impl(
-            spark, edges, n_base, rounds, t, record_levels, collect_stats
-        )
+        with checkpoint_scope(spark):
+            return _scc_spark_impl(
+                spark, edges, n_base, rounds, t, record_levels, collect_stats
+            )
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev_sp)
 

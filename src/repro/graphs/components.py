@@ -4,8 +4,12 @@ Min-label propagation with pointer-doubling shortcuts (the "local
 contractions" family of Łącki et al. [36], simplified): every vertex
 repeatedly adopts the smallest label in its closed neighbourhood, then
 shortcuts through its current label's label. Converges in O(log n)
-iterations on arbitrary graphs; the affinity/SCC forests that are the
-only callers in this repo typically converge in 2-4 iterations.
+iterations on arbitrary graphs. Its callers are SCC (components of the
+per-round best-edge forest, whose threshold filter can leave a vertex with
+no best edge) and graph-DBSCAN (components of the core-core subgraph), the
+two that need components of a general graph. TeraHAC's partitioner does
+not: its best-edge graph has one outgoing edge per vertex, so
+:mod:`repro.graphs.affinity` finds its components by pointer jumping.
 
 Spark-local-mode job count is the real cost driver of iterative graph
 algorithms, so each iteration runs exactly one job: the convergence

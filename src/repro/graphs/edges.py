@@ -11,11 +11,25 @@ Representation (used by every algorithm in this repo):
   is the min-merge similarity M(v) of Definition 2 (+inf for singletons).
 
 The displayed average-linkage weight is ``w = raw / (size_u * size_v)``.
+
+The TeraHAC engine keeps no vertex table. Its edges are *self-describing*:
+``(u, v, raw, su, sv, mu, mv)`` carries both endpoints' size and M
+(:data:`SIZED`), so ``w`` is a column expression (:func:`sized_weight`) and
+contraction and pruning (:func:`contract_sized`, :func:`prune_sized`) need
+no join against vertices.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+
+SIZED = ("u", "v", "raw", "su", "sv", "mu", "mv")
+
+
+def sized_weight():
+    """The average-linkage weight of a self-describing edge table."""
+    return F.col("raw") / (F.col("su") * F.col("sv"))
 
 
 def canonicalize(edges: DataFrame) -> DataFrame:
@@ -51,8 +65,7 @@ def with_weights(edges: DataFrame, vertices: DataFrame) -> DataFrame:
     return (
         edges.join(vu, "u")
         .join(vv, "v")
-        .withColumn("w", F.col("raw") / (F.col("su") * F.col("sv")))
-        .select("u", "v", "raw", "su", "sv", "mu", "mv", "w")
+        .select(*SIZED, sized_weight().alias("w"))
     )
 
 
@@ -76,17 +89,12 @@ def degrees(edges: DataFrame) -> DataFrame:
     return both.groupBy("id").agg(F.count("*").alias("deg"))
 
 
-def num_heavy_edges(edges_w: DataFrame, t: float) -> int:
-    """Number of (undirected) edges with normalized weight >= t."""
-    return edges_w.filter(F.col("w") >= t).count()
-
-
 def good_edge_count(edges_w: DataFrame, eps: float) -> int:
     """Number of `(1+eps)`-good edges in the *global* graph (Definition 2).
 
     An edge uv is good iff max(wmax(u), wmax(v)) / min(M(u), M(v), w(uv))
     <= 1 + eps.  This is the quantity plotted in Fig. 15 of the paper.
-    Input must come from :func:`with_weights`.
+    Input needs columns ``u, v, w, mu, mv``, as :func:`with_weights` gives.
     """
     wm = w_max_per_vertex(edges_w)
     e = (
@@ -123,24 +131,77 @@ def contract(edges: DataFrame, mapping: DataFrame) -> DataFrame:
     return canonicalize(e.select(F.col("a").alias("u"), F.col("b").alias("v"), "raw"))
 
 
-def prune_vertices(
-    edges_w: DataFrame, vertices: DataFrame, threshold: float
-) -> tuple[DataFrame, DataFrame]:
-    """Vertex pruning (Algorithm 1, line 7).
+def contract_sized(edges: DataFrame, mapping: DataFrame) -> DataFrame:
+    """:func:`contract` for a self-describing edge table.
+
+    ``edges`` is ``(u, v, raw, su, sv, mu, mv)`` (see :data:`SIZED`),
+    ``mapping`` is ``(old_id, new_id, size, m)``. The two mapping joins
+    carry the new endpoint size and M along; vertices absent from the
+    mapping keep their id and metadata. Returns the same schema, canonical.
+    """
+    def side(x: str) -> DataFrame:
+        return mapping.select(
+            F.col("old_id").alias(x),
+            F.col("new_id").alias(f"n{x}"),
+            F.col("size").alias(f"ns{x}"),
+            F.col("m").alias(f"nm{x}"),
+        )
+
+    e = (
+        edges.join(side("u"), "u", "left")
+        .join(side("v"), "v", "left")
+        .select(
+            F.coalesce("nu", "u").alias("a"),
+            F.coalesce("nv", "v").alias("b"),
+            "raw",
+            F.coalesce("nsu", "su").alias("sa"),
+            F.coalesce("nsv", "sv").alias("sb"),
+            F.coalesce("nmu", "mu").alias("ma"),
+            F.coalesce("nmv", "mv").alias("mb"),
+        )
+        .filter(F.col("a") != F.col("b"))
+    )
+    swap = F.col("a") > F.col("b")
+
+    def pick(if_swap: str, otherwise: str):
+        return F.when(swap, F.col(if_swap)).otherwise(F.col(otherwise))
+
+    # size and M are functions of the vertex id, so grouping by them too
+    # keeps one row per undirected edge.
+    return (
+        e.select(
+            pick("b", "a").alias("u"),
+            pick("a", "b").alias("v"),
+            "raw",
+            pick("sb", "sa").alias("su"),
+            pick("sa", "sb").alias("sv"),
+            pick("mb", "ma").alias("mu"),
+            pick("ma", "mb").alias("mv"),
+        )
+        .groupBy("u", "v", "su", "sv", "mu", "mv")
+        .agg(F.sum("raw").alias("raw"))
+        .select(*SIZED)
+    )
+
+
+def prune_sized(edges: DataFrame, threshold: float) -> DataFrame:
+    """Vertex pruning (Algorithm 1, line 7) on a self-describing edge table.
 
     Removes every vertex whose maximum incident weight is < ``threshold``
-    (isolated vertices included: they have no wmax at all) together with
-    all its incident edges. Returns ``(edges, vertices)`` restricted to the
-    surviving vertices; edge columns are reduced back to ``(u, v, raw)``.
+    together with all its incident edges. Every surviving vertex keeps at
+    least one edge (its heaviest: the other end survives too), so the
+    surviving edges alone describe the surviving graph.
     """
-    keep = w_max_per_vertex(edges_w).filter(F.col("wmax") >= threshold).select("id")
-    kept_edges = (
-        edges_w.join(keep.withColumnRenamed("id", "u"), "u")
-        .join(keep.withColumnRenamed("id", "v"), "v")
-        .select("u", "v", "raw")
+    keep = (
+        w_max_per_vertex(edges.withColumn("w", sized_weight()))
+        .filter(F.col("wmax") >= threshold)
+        .select("id")
     )
-    kept_vertices = vertices.join(keep, "id")
-    return kept_edges, kept_vertices
+    return (
+        edges.join(keep.withColumnRenamed("id", "u"), "u")
+        .join(keep.withColumnRenamed("id", "v"), "v")
+        .select(*SIZED)
+    )
 
 
 def from_weighted(spark_edges: DataFrame) -> DataFrame:

@@ -12,27 +12,48 @@ statistics are the real file sizes, constant and small. This is also
 what the paper's production setting does — each MapReduce round of
 Flume materializes its output — so the barrier is faithful to the
 system being reproduced, not just a workaround.
+
+Barriers go under ``$REPRO_CKPT_DIR/repro-ckpt-<applicationId>`` (the
+system temp directory by default). Inside a :func:`checkpoint_scope` they
+go to a directory of their own, which is removed when the scope exits.
 """
 from __future__ import annotations
 
 import itertools
 import os
+import shutil
 import tempfile
+from contextlib import contextmanager
 
 from pyspark.sql import DataFrame, SparkSession
 
 _counter = itertools.count()
-_root: str | None = None
+_scopes: list[str] = []
 
 
 def _ckpt_root(spark: SparkSession) -> str:
-    global _root
-    if _root is None:
-        base = os.environ.get("REPRO_CKPT_DIR", tempfile.gettempdir())
-        _root = os.path.join(
-            base, f"repro-ckpt-{spark.sparkContext.applicationId}"
-        )
-    return _root
+    base = os.environ.get("REPRO_CKPT_DIR", tempfile.gettempdir())
+    return os.path.join(base, f"repro-ckpt-{spark.sparkContext.applicationId}")
+
+
+@contextmanager
+def checkpoint_scope(spark: SparkSession):
+    """Write the barriers of the enclosed code to a fresh directory and
+    delete it on exit. DataFrames read back from those barriers are
+    unusable afterwards, so collect what must outlive the scope."""
+    root = _ckpt_root(spark)
+    os.makedirs(root, exist_ok=True)
+    path = tempfile.mkdtemp(prefix="scope-", dir=root)
+    _scopes.append(path)
+    try:
+        yield path
+    finally:
+        _scopes.remove(path)
+        shutil.rmtree(path, ignore_errors=True)
+        try:
+            os.rmdir(root)  # only if no other barrier lives there
+        except OSError:
+            pass
 
 
 def materialize(df: DataFrame, tag: str = "step") -> DataFrame:
@@ -43,6 +64,7 @@ def materialize(df: DataFrame, tag: str = "step") -> DataFrame:
     an iterative algorithm (TeraHAC, SCC, long CC runs).
     """
     spark = df.sparkSession
-    path = os.path.join(_ckpt_root(spark), f"{tag}-{next(_counter)}")
+    base = _scopes[-1] if _scopes else _ckpt_root(spark)
+    path = os.path.join(base, f"{tag}-{next(_counter)}")
     df.write.mode("overwrite").parquet(path)
     return spark.read.parquet(path)

@@ -112,3 +112,66 @@ def test_refines_affinity_partition(spark, graph):
     seen = {}
     for x, c in split.items():
         assert seen.setdefault(c, base[x]) == base[x]
+
+
+# --- pointer jumping: affinity_clusters vs union-find over the marked edges
+
+
+def _check_pointer_jumping(spark, edges, vertices=None):
+    """``affinity_clusters`` equals the min-id components of the marked
+    (best-edge) graph, computed by union-find."""
+    df = spark.createDataFrame(
+        pd.DataFrame(edges, columns=["u", "v", "w"]).astype(
+            {"u": "int64", "v": "int64", "w": "float64"}
+        )
+    )
+    vdf = (
+        None
+        if vertices is None
+        else spark.createDataFrame(pd.DataFrame({"id": vertices}).astype("int64"))
+    )
+    got = {r.id: r.cluster for r in affinity_clusters(df, vdf).collect()}
+    adj = {}
+    for u, v, w in edges:
+        adj.setdefault(u, []).append((w, v))
+        adj.setdefault(v, []).append((w, u))
+    marked = [(x, max(cands)[1]) for x, cands in adj.items()]
+    ids = sorted(set(adj) | set(vertices or ()))
+    assert got == brute_components(marked, ids)
+    return got
+
+
+def test_pointer_jumping_long_increasing_path(spark):
+    """Vertex i points at i+1: one tree of depth ~150, rooted at the far
+    end, so the jumps must pass the materialize reset, and the label is
+    the min member id, not the root."""
+    n = 150
+    got = _check_pointer_jumping(spark, [(i, i + 1, float(i + 1)) for i in range(n - 1)])
+    assert set(got.values()) == {0}
+
+
+def test_pointer_jumping_equal_weights(spark):
+    """All weights equal: only the id tie-break decides, and mutual best
+    edges (2-cycles) occur in several trees."""
+    rng = np.random.default_rng(4)
+    n = 60
+    pairs = {
+        (int(min(a, b)), int(max(a, b)))
+        for a, b in zip(rng.integers(0, n, 90), rng.integers(0, n, 90))
+        if a != b
+    }
+    got = _check_pointer_jumping(spark, [(a, b, 1.0) for a, b in sorted(pairs)])
+    assert len(set(got.values())) > 1
+
+
+def test_pointer_jumping_star(spark):
+    leaves = range(1, 30)
+    got = _check_pointer_jumping(spark, [(0, i, 1.0 / i) for i in leaves])
+    assert set(got.values()) == {0}
+
+
+def test_pointer_jumping_isolated_vertices(spark):
+    got = _check_pointer_jumping(
+        spark, [(0, 1, 0.5), (1, 2, 0.9), (5, 6, 0.1)], vertices=list(range(8))
+    )
+    assert got[3] == 3 and got[7] == 7

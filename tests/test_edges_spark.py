@@ -10,10 +10,10 @@ from pyspark.sql import functions as F
 from repro.graphs.edges import (
     canonicalize,
     contract,
+    contract_sized,
     degrees,
     init_vertices,
-    num_heavy_edges,
-    prune_vertices,
+    prune_sized,
     w_max_per_vertex,
     with_weights,
 )
@@ -94,20 +94,6 @@ def test_degrees_oracle(spark, graph):
     )
 
 
-def test_num_heavy_edges_oracle(spark, graph):
-    e, v, _ = graph
-    ew = with_weights(e, v)
-    got = num_heavy_edges(ew, 0.5)
-    expect = ew.filter(F.col("w") >= 0.5).count()
-    assert got == expect
-    import duckdb
-
-    con = duckdb.connect()
-    con.register("ew", ew.select("w").toPandas())
-    assert got == con.execute("SELECT count(*) FROM ew WHERE w >= 0.5").fetchone()[0]
-    con.close()
-
-
 def test_contract_oracle(spark, graph):
     e, _, _ = graph
     # map every vertex to id // 10 (a coarse partition)
@@ -139,10 +125,10 @@ def test_contract_partial_mapping(spark):
     assert got == {(0, 2): 2.0}  # 0-1 became a self loop and vanished
 
 
-def test_prune_vertices_oracle(spark, graph):
+def test_prune_sized_oracle(spark, graph):
     e, v, _ = graph
     ew = with_weights(e, v)
-    ke, kv = prune_vertices(ew, v, 0.4)
+    ke = prune_sized(ew.drop("w"), 0.4)
     import duckdb
 
     con = duckdb.connect()
@@ -157,13 +143,45 @@ def test_prune_vertices_oracle(spark, graph):
         ).fetchdf()["id"]
     )
     con.close()
-    assert set(r.id for r in kv.collect()) == keep
-    for r in ke.collect():
-        assert r.u in keep and r.v in keep
-    # no surviving-vertex edge lost
-    assert ke.count() == ew.filter(
+    assert ke.columns == ["u", "v", "raw", "su", "sv", "mu", "mv"]
+    rows = ke.collect()
+    # every surviving vertex keeps an edge, and no surviving-vertex edge is lost
+    assert {r.u for r in rows} | {r.v for r in rows} == keep
+    assert len(rows) == ew.filter(
         F.col("u").isin(list(keep)) & F.col("v").isin(list(keep))
     ).count()
+
+
+def test_contract_sized_carries_size_and_m(spark):
+    """The mapping's size and M land on the right endpoint, also when the
+    contraction swaps an edge's orientation; unmapped vertices keep
+    theirs."""
+    inf = float("inf")
+    e = spark.createDataFrame(
+        [(0, 1, 1.0, 1, 2, inf, 0.5), (1, 2, 2.0, 2, 1, 0.5, inf), (2, 3, 4.0, 1, 3, inf, 0.3)],
+        "u long, v long, raw double, su long, sv long, mu double, mv double",
+    )
+    mapping = spark.createDataFrame(
+        [(0, 9, 3, 0.4), (1, 9, 3, 0.4)], "old_id long, new_id long, size long, m double"
+    )
+    got = {tuple(r) for r in contract_sized(e, mapping).collect()}
+    # 0-1 became a self loop; 1-2 became 9-2, stored as 2-9
+    assert got == {(2, 9, 2.0, 1, 3, inf, 0.4), (2, 3, 4.0, 1, 3, inf, 0.3)}
+
+
+def test_contract_sized_sums_parallel_edges(spark, graph):
+    e, v, _ = graph
+    sized = with_weights(e, v).drop("w")
+    mapping = (
+        v.select("id", (F.col("id") % 7).alias("new_id"))
+        .groupBy("new_id")
+        .agg(F.collect_list("id").alias("ids"), F.count("*").alias("size"))
+        .select(F.explode("ids").alias("old_id"), "new_id", "size", F.lit(0.25).alias("m"))
+    )
+    got = {(r.u, r.v): r.raw for r in contract_sized(sized, mapping).collect()}
+    expect = {(r.u, r.v): r.raw for r in contract(e, mapping).collect()}
+    assert got.keys() == expect.keys()
+    assert all(got[k] == pytest.approx(expect[k]) for k in expect)
 
 
 def test_degree_log_weights_oracle(spark):

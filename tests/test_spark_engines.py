@@ -53,6 +53,9 @@ def test_terahac_spark_threshold_and_stats(spark, workload):
     # stats populated and consistent
     assert len(res.stats) == res.rounds
     assert all(st.n_good is not None and st.n_vertices > 0 for st in res.stats)
+    # the counts observed on the barrier writes equal the local engine's
+    lo = terahac_local(edges, N, eps=0.1, t=0.3, collect_stats=True)
+    assert res.stats == lo.stats
     assert sum(st.n_merges for st in res.stats) == len(res.dendrogram.merges)
     # Lemma 8 on the Spark output
     for mn in res.dendrogram.flat_cluster_min_merge(0.3):
@@ -67,6 +70,9 @@ def test_terahac_spark_equals_local_flatten(spark, workload):
     sp = terahac(spark, df, N, eps=0.1, t=t, shuffle_partitions=4)
     lo = terahac_local(edges, N, eps=0.1, t=t)
     assert ari(sp.dendrogram.flatten(t), lo.dendrogram.flatten(t)) == pytest.approx(1.0)
+    # per-round heavy-edge counts, observed on the edge-barrier writes
+    assert [st.n_heavy for st in sp.stats] == [st.n_heavy for st in lo.stats]
+    assert [st.n_edges for st in sp.stats] == [st.n_edges for st in lo.stats]
 
 
 def test_terahac_spark_size_constrained(spark, workload):
@@ -77,6 +83,26 @@ def test_terahac_spark_size_constrained(spark, workload):
         spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
     )
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
+
+
+def test_terahac_spark_stall_fallback_is_checked(spark):
+    """A subgraph cap of one edge row hash-splits every cluster into as
+    many parts as it ships rows, so SubgraphHAC calls see (almost) no
+    active-active edge, rounds stall, and the fallback must merge the
+    global top edge through SubgraphHAC."""
+    edges = [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7), (3, 4, 0.6), (4, 5, 0.5), (0, 5, 0.4)]
+    df = edges_to_spark(spark, edges)
+    res = terahac(spark, df, 6, eps=0.1, t=0.0, max_subgraph_edges=1, shuffle_partitions=2)
+    assert res.forced_merges >= 1
+    assert len(res.dendrogram.merges) == 5
+    validate_good_merges(edges, res.dendrogram, 0.1)
+
+
+def test_terahac_spark_leaves_no_checkpoint_files(spark, workload, tmp_path, monkeypatch):
+    _, df = workload
+    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
+    terahac(spark, df, N, eps=0.1, t=0.2, shuffle_partitions=4)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_scc_spark_equals_local(spark, workload):
