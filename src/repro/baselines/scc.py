@@ -21,8 +21,15 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core import localgraph
 from repro.graphs.components import connected_components
-from repro.graphs.edges import canonicalize, contract, init_vertices, with_weights
+from repro.graphs.edges import (
+    canonicalize,
+    contract,
+    init_vertices,
+    symmetrize,
+    with_weights,
+)
 from repro.graphs.io import checkpoint_scope, materialize
 
 
@@ -50,27 +57,6 @@ class SCCResult:
 # --------------------------------------------------------------------- #
 # Local engine
 # --------------------------------------------------------------------- #
-class _DSU:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def scc_local(
     edges: list[tuple[int, int, float]],
     n_base: int,
@@ -105,27 +91,13 @@ def scc_local(
     for tau in taus:
         result.nodes_per_round.append(len(adj))
         result.edges_per_round.append(sum(len(nb) for nb in adj.values()) // 2)
-        dsu = _DSU()
+        dsu = localgraph.DSU()
         for a in adj:
             cands = [(wfn(a, b), b) for b in adj[a] if wfn(a, b) >= tau]
             if cands:
                 dsu.union(a, max(cands)[1])
-                dsu.parent.setdefault(a, dsu.find(a))
         relabel = {a: dsu.find(a) for a in adj}
-        # contract: group-sum of raw weights, sizes add up
-        new_adj: dict[int, dict[int, float]] = {}
-        new_size: dict[int, int] = {}
-        for a in adj:
-            na = relabel[a]
-            new_adj.setdefault(na, {})
-            new_size[na] = new_size.get(na, 0) + size[a]
-        for a in adj:
-            na = relabel[a]
-            for b, raw in adj[a].items():
-                nb = relabel[b]
-                if na != nb:
-                    new_adj[na][nb] = new_adj[na].get(nb, 0.0) + raw
-        adj, size = new_adj, new_size
+        adj, size = localgraph.contract(adj, size, relabel)
         assign = np.array([relabel[c] for c in assign], dtype=np.int64)
         result.levels.append(assign.copy())
         result.n_clusters.append(len(adj))
@@ -200,17 +172,14 @@ def _scc_spark_impl(
         if collect_stats:
             result.nodes_per_round.append(v.count())
             result.edges_per_round.append(e.count())
-        sym = ew.select(F.col("u").alias("src"), F.col("v").alias("dst"), "w").unionByName(
-            ew.select(F.col("v").alias("src"), F.col("u").alias("dst"), "w")
-        ).filter(F.col("w") >= tau)
         marked = (
-            sym.groupBy("src")
+            symmetrize(ew, "w")
+            .filter(F.col("w") >= tau)
+            .groupBy("src")
             .agg(F.max(F.struct("w", "dst")).alias("b"))
-            .select("src", F.col("b.dst").alias("dst"))
+            .select(F.col("src").alias("u"), F.col("b.dst").alias("v"))
         )
-        msym = marked.unionByName(
-            marked.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
-        ).distinct()
+        msym = symmetrize(marked).distinct()
         comp = connected_components(msym, v.select("id"))
         mapping = comp.select(
             F.col("id").alias("old_id"), F.col("component").alias("new_id")

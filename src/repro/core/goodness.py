@@ -16,8 +16,6 @@ Leaves encode as ``v * (n_base + 1)`` (size 1).
 """
 from __future__ import annotations
 
-INF = float("inf")
-
 
 def encode_leaf(v: int, n_base: int) -> int:
     """Encoded id of original vertex ``v`` (a size-1 cluster)."""

@@ -45,6 +45,7 @@ from repro.graphs.edges import (
     good_edge_count,
     prune_sized,
     sized_weight,
+    symmetrize,
 )
 from repro.graphs.io import checkpoint_scope, materialize
 
@@ -206,12 +207,7 @@ def _terahac_impl(
         n_vertices = -1
         if collect_stats:
             n_good = good_edge_count(ew, eps)
-            n_vertices = (
-                e.select(F.col("u").alias("id"))
-                .unionByName(e.select(F.col("v").alias("id")))
-                .distinct()
-                .count()
-            )
+            n_vertices = symmetrize(e).select("src").distinct().count()
 
         clusters = size_constrained_affinity(
             ew.select("u", "v", "w"), None, max_subgraph_edges

@@ -6,7 +6,8 @@ executed in-process. Semantics are identical to the Spark engine
 (:mod:`repro.core.terahac`): both call the same
 :func:`repro.core.subgraph_hac.subgraph_hac` kernel and the same
 partitioning rule (best-edge = max (w, neighbour-id) lexicographically;
-component label = min member id), which the test suite exploits to check
+component label = min member id; a capped cluster's member goes to part
+``pmod(xxhash64(id), nparts)``), which the test suite exploits to check
 engine equivalence. Used for the Table 2 quality grid and the round-count
 studies, where a 1.8k-vertex graph through 100 Spark rounds would only
 measure scheduler latency.
@@ -14,51 +15,29 @@ measure scheduler latency.
 from __future__ import annotations
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.goodness import encode_leaf, goodness
+from repro.core.goodness import goodness
+from repro.core.localgraph import DSU, build, contract, xxhash64
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 
 INF = float("inf")
 
 
-class _DSU:
-    """Union-find with min-id representatives (affinity component labels)."""
-
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-            self.parent.setdefault(ra, ra)
-
-
 def _affinity_partition(
     adj: dict[int, dict[int, float]],
     size: dict[int, int],
     max_subgraph_edges: int,
-) -> dict[int, int]:
+) -> dict[int, int | tuple[int, int]]:
     """Size-constrained affinity clustering on the local graph.
 
-    Returns vertex -> cluster id. Mirrors
+    Returns vertex -> cluster id: the min member id, or ``(min id, part)``
+    for the parts of a split cluster. Mirrors
     :func:`repro.graphs.affinity.size_constrained_affinity`: per-vertex
     best edge by max (w, neighbour-id), components by min id, clusters
     whose shipped load (sum of member degrees) exceeds the cap are split
-    deterministically.
+    into ``nparts`` by ``pmod(xxhash64(id), nparts)``.
     """
-    dsu = _DSU()
+    dsu = DSU()
     for u, nb in adj.items():
         if not nb:
             continue
@@ -76,8 +55,9 @@ def _affinity_partition(
         if nparts <= 1:
             out[u] = c
         else:
-            # Deterministic split; any partition is correct (Lemma 7).
-            out[u] = -(c * nparts + (hash(u) % nparts)) - 1
+            # The Spark engine's member -> part rule, so both engines split
+            # alike; any partition is correct (Lemma 7).
+            out[u] = (c, xxhash64(u) % nparts)
     return out
 
 
@@ -97,19 +77,8 @@ def terahac_local(
     incident weight is < t/(1+eps). ``t=0`` computes the full
     (1+eps)-approximate dendrogram.
     """
-    size: dict[int, int] = {}
-    m: dict[int, float] = {}
-    adj: dict[int, dict[int, float]] = {}
-    for u, v, w in edges:
-        if u == v:
-            continue
-        eu, ev = encode_leaf(u, n_base), encode_leaf(v, n_base)
-        for x in (eu, ev):
-            size.setdefault(x, 1)
-            m.setdefault(x, INF)
-            adj.setdefault(x, {})
-        adj[eu][ev] = adj[eu].get(ev, 0.0) + w
-        adj[ev][eu] = adj[ev].get(eu, 0.0) + w
+    adj, size = build(edges, n_base)
+    m = dict.fromkeys(adj, INF)
 
     merges: list[Merge] = []
     stats: list[RoundStats] = []
@@ -141,7 +110,7 @@ def terahac_local(
             )
 
         clusters = _affinity_partition(adj, size, max_subgraph_edges)
-        groups: dict[int, list] = {}
+        groups: dict[int | tuple[int, int], list] = {}
         for a in adj:
             for b, raw in adj[a].items():
                 if a < b:
@@ -208,28 +177,11 @@ def terahac_local(
             )
         )
 
-        # --- contraction ---
-        new_adj: dict[int, dict[int, float]] = {}
-        new_size: dict[int, int] = {}
-        new_m: dict[int, float] = {}
-        relabel = {old: new for old, (new, _, _) in mapping.items()}
-        for old, (new, s, mm) in mapping.items():
-            new_size[new] = s
-            new_m[new] = mm
-            new_adj.setdefault(new, {})
-        for a in adj:
-            na = relabel.get(a, a)
-            new_size.setdefault(na, size[a])
-            new_m.setdefault(na, m[a])
-            new_adj.setdefault(na, {})
-            for b, raw in adj[a].items():
-                nb = relabel.get(b, b)
-                if na != nb:
-                    # Each undirected old edge contributes once per
-                    # orientation, so both directed entries end up with the
-                    # same exact raw sum — no double counting.
-                    new_adj[na][nb] = new_adj[na].get(nb, 0.0) + raw
-        adj, size, m = new_adj, new_size, new_m
+        # --- contraction (sizes sum; M comes from SubgraphHAC) ---
+        m.update((new, mm) for new, _, mm in mapping.values())
+        adj, size = contract(
+            adj, size, {old: new for old, (new, _, _) in mapping.items()}
+        )
 
         # --- vertex pruning + isolated removal ---
         drop = [

@@ -32,16 +32,14 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.graphs.edges import symmetrize
 from repro.graphs.io import materialize
 
 
 def _marked(edges_w: DataFrame) -> DataFrame:
     """``(src, dst, deg)``: each vertex's best edge and its degree."""
-    sym = edges_w.select(F.col("u").alias("src"), F.col("v").alias("dst"), "w").unionByName(
-        edges_w.select(F.col("v").alias("src"), F.col("u").alias("dst"), "w")
-    )
     # max of (w, dst) struct == max weight, then max dst: deterministic.
-    return sym.groupBy("src").agg(
+    return symmetrize(edges_w, "w").groupBy("src").agg(
         F.max(F.struct("w", "dst")).alias("b"), F.count("*").alias("deg")
     ).select("src", F.col("b.dst").alias("dst"), "deg")
 

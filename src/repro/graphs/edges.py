@@ -43,10 +43,11 @@ def canonicalize(edges: DataFrame) -> DataFrame:
     return e.groupBy("u", "v").agg(F.sum("raw").alias("raw"))
 
 
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both orientations of a canonical edge table: ``(src, dst, raw)``."""
-    fwd = edges.select(F.col("u").alias("src"), F.col("v").alias("dst"), "raw")
-    bwd = edges.select(F.col("v").alias("src"), F.col("u").alias("dst"), "raw")
+def symmetrize(edges: DataFrame, *cols: str) -> DataFrame:
+    """Both orientations of an edge table ``(u, v, *cols)``:
+    ``(src, dst, *cols)``, each row once as ``u -> v`` and once as ``v -> u``."""
+    fwd = edges.select(F.col("u").alias("src"), F.col("v").alias("dst"), *cols)
+    bwd = edges.select(F.col("v").alias("src"), F.col("u").alias("dst"), *cols)
     return fwd.unionByName(bwd)
 
 
@@ -75,18 +76,16 @@ def w_max_per_vertex(edges_w: DataFrame) -> DataFrame:
     Input must have columns ``u, v, w`` (canonical). Output: ``(id, wmax)``.
     Vertices with no incident edges do not appear.
     """
-    both = edges_w.select(F.col("u").alias("id"), "w").unionByName(
-        edges_w.select(F.col("v").alias("id"), "w")
+    return symmetrize(edges_w, "w").groupBy(F.col("src").alias("id")).agg(
+        F.max("w").alias("wmax")
     )
-    return both.groupBy("id").agg(F.max("w").alias("wmax"))
 
 
 def degrees(edges: DataFrame) -> DataFrame:
     """Per-vertex degree of a canonical edge table. Output ``(id, deg)``."""
-    both = edges.select(F.col("u").alias("id")).unionByName(
-        edges.select(F.col("v").alias("id"))
+    return symmetrize(edges).groupBy(F.col("src").alias("id")).agg(
+        F.count("*").alias("deg")
     )
-    return both.groupBy("id").agg(F.count("*").alias("deg"))
 
 
 def good_edge_count(edges_w: DataFrame, eps: float) -> int:
@@ -204,20 +203,10 @@ def prune_sized(edges: DataFrame, threshold: float) -> DataFrame:
     )
 
 
-def from_weighted(spark_edges: DataFrame) -> DataFrame:
-    """Build a canonical edge table from singleton-cluster weighted edges
-    ``(u, v, w)`` — for singletons ``raw == w``."""
-    return canonicalize(spark_edges.select("u", "v", F.col("w").alias("raw")))
-
-
 def init_vertices(spark: SparkSession, edges: DataFrame) -> DataFrame:
     """Singleton vertex table for every endpoint of ``edges``:
     size 1, M = +inf (Definition 2)."""
-    ids = (
-        edges.select(F.col("u").alias("id"))
-        .unionByName(edges.select(F.col("v").alias("id")))
-        .distinct()
-    )
+    ids = symmetrize(edges).select(F.col("src").alias("id")).distinct()
     return ids.select(
         "id", F.lit(1).cast("long").alias("size"), F.lit(float("inf")).alias("m")
     )

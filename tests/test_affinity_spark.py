@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.localgraph import xxhash64
 from repro.graphs.affinity import affinity_clusters, best_edges, size_constrained_affinity
 from repro.graphs.edges import canonicalize, init_vertices, with_weights
 from repro.oracle import assert_equivalent
@@ -112,6 +113,31 @@ def test_refines_affinity_partition(spark, graph):
     seen = {}
     for x, c in split.items():
         assert seen.setdefault(c, base[x]) == base[x]
+
+
+def test_local_split_index_matches_spark(spark):
+    """The local engine splits a cluster by
+    :func:`repro.core.localgraph.xxhash64`; for both engines to split alike
+    it must equal Spark's ``pmod(xxhash64(id), n)``, negative ids included."""
+    rng = np.random.default_rng(3)
+    ids = [0, 1, -1, 121, 2**62, -(2**63), 2**63 - 1] + [
+        int(x) for x in rng.integers(-(2**63), 2**63 - 1, size=300, dtype=np.int64)
+    ]
+    parts = (2, 3, 7, 1000)
+    rows = (
+        spark.createDataFrame([(x,) for x in ids], "id long")
+        .select(
+            "id",
+            F.xxhash64("id").alias("h"),
+            *(F.pmod(F.xxhash64("id"), F.lit(n)).alias(f"p{n}") for n in parts),
+        )
+        .collect()
+    )
+    assert len(rows) == len(ids)
+    for r in rows:
+        assert xxhash64(r.id) == r.h
+        for n in parts:
+            assert xxhash64(r.id) % n == r[f"p{n}"]
 
 
 # --- pointer jumping: affinity_clusters vs union-find over the marked edges

@@ -1,11 +1,12 @@
 """Unit tests for Definition 2 machinery (repro.core.goodness)."""
 from __future__ import annotations
 
+from math import inf as INF
+
 import numpy as np
 import pytest
 
 from repro.core.goodness import (
-    INF,
     decode_rep,
     decode_size,
     encode_leaf,

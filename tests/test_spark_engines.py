@@ -76,13 +76,18 @@ def test_terahac_spark_equals_local_flatten(spark, workload):
 
 
 def test_terahac_spark_size_constrained(spark, workload):
-    """Tiny subgraph caps exercise the splitting (and possibly the stall
-    fallback) without breaking the approximation guarantee (Lemma 7)."""
+    """Tiny subgraph caps exercise the splitting and the stall fallback
+    without breaking the approximation guarantee (Lemma 7), and both
+    engines split alike, so they still agree merge for merge."""
     edges, df = workload
     res = terahac(
         spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
     )
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
+    lo = terahac_local(edges, N, eps=0.1, t=0.0, max_subgraph_edges=40)
+    assert res.dendrogram.internal_cluster_sets() == lo.dendrogram.internal_cluster_sets()
+    assert (res.rounds, res.forced_merges) == (lo.rounds, lo.forced_merges)
+    assert res.forced_merges > 0
 
 
 def test_terahac_spark_stall_fallback_is_checked(spark):
@@ -102,6 +107,18 @@ def test_terahac_spark_leaves_no_checkpoint_files(spark, workload, tmp_path, mon
     _, df = workload
     monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
     terahac(spark, df, N, eps=0.1, t=0.2, shuffle_partitions=4)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_graph_dbscan_spark_leaves_no_checkpoint_files(spark, tmp_path, monkeypatch):
+    """A path's core component needs enough connected-components iterations
+    to write a parquet barrier; it must be gone once the labels are back."""
+    n = 64
+    edges = [(i, i + 1, 0.9) for i in range(n - 1)]
+    df = edges_to_spark(spark, edges)
+    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
+    labels = graph_dbscan_spark(spark, df, n, eps=0.5, min_pts=2)
+    assert len(set(labels.tolist())) == 1
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 

@@ -2,10 +2,12 @@
 inactive contract honoured (Algorithms 2/4, Lemmas 2/5)."""
 from __future__ import annotations
 
+from math import inf as INF
+
 import numpy as np
 import pytest
 
-from repro.core.goodness import INF, encode_leaf, goodness
+from repro.core.goodness import encode_leaf, goodness
 from repro.core.subgraph_hac import subgraph_hac
 from repro.synth_data import random_weighted_graph
 
